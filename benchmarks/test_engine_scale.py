@@ -32,7 +32,7 @@ bursts, hop forwards, framed reads — identical counts on every kernel by
 construction), so kernels compare purely on wall time.
 
 Measured quantities are *wall-clock*: events/sec, total wall time, and the
-peak pending-entry count (heap/wheel size).  Baselines live in
+peak pending-entry count (ready FIFO plus timer heap).  Baselines live in
 ``BENCH_engine.json`` at the repository root:
 
 * ``seed`` entries were recorded with this same harness on the pre-PR
@@ -42,7 +42,7 @@ peak pending-entry count (heap/wheel size).  Baselines live in
   smoke job fails on a >25% regression against them.
 
 The >= 3x speedup acceptance does not rely on recorded wall-clock numbers:
-:func:`test_kernel_speedup_vs_seed_stack` re-measures the wheel stack and
+:func:`test_kernel_speedup_vs_seed_stack` re-measures the current stack and
 the legacy stack (:class:`ReferenceSimulator` + the seed-era copying
 buffers, no cancellation) in fresh interpreters on the same machine.
 
@@ -80,7 +80,7 @@ from repro.simnet.host import Host
 from repro.simnet.networks import grid_deployment
 from repro.abstraction.drivers import StreamBuffer
 
-try:  # the wheel kernel ships a reference heap scheduler; absent pre-PR
+try:  # the ready-FIFO kernel ships a reference heap scheduler; absent pre-PR
     from repro.simnet.engine import ReferenceSimulator
 except ImportError:  # pragma: no cover - seed-kernel baseline recording
     ReferenceSimulator = None
@@ -808,7 +808,7 @@ def run_kernel_scenario_legacy(size: str) -> dict:
 
 def run_isolated(fn_name: str, size: str) -> dict:
     """Run one scenario function in a fresh interpreter and return its
-    result.  Wall-clock comparisons between the wheel and the legacy stack
+    result.  Wall-clock comparisons between the current and the legacy stack
     are allocator-sensitive (the copying legacy buffers run measurably
     faster in a warmed-up heap), so the speedup acceptance measures each
     configuration pyperf-style: cold, isolated, same machine, back to back.
@@ -983,10 +983,10 @@ def test_kernel_speedup_vs_seed_stack():
     target = SPEEDUP_TARGET if size == "large" else SPEEDUP_TARGET / 2
     best = 0.0
     for _attempt in range(2):
-        wheel = run_isolated("run_kernel_scenario", size)
+        current = run_isolated("run_kernel_scenario", size)
         legacy = run_isolated("run_kernel_scenario_legacy", size)
-        assert wheel["events"] == legacy["events"]  # identical logical trace
-        best = max(best, wheel["events_per_sec"] / legacy["events_per_sec"])
+        assert current["events"] == legacy["events"]  # identical logical trace
+        best = max(best, current["events_per_sec"] / legacy["events_per_sec"])
         if best >= target:
             break
     assert best >= target, (
@@ -996,7 +996,8 @@ def test_kernel_speedup_vs_seed_stack():
 
 
 #: the kernel workload's logical trace: identical counts on every kernel
-#: (wheel, reference heap, partitioned at any width) by construction.
+#: (ready-FIFO kernel, reference heap, partitioned at any width) by
+#: construction.
 TRACE_KEYS = (
     "beats",
     "delivered",
@@ -1011,15 +1012,15 @@ TRACE_KEYS = (
 
 
 def test_kernel_workload_trace_matches_reference_heap(benchmark, once):
-    """Both schedulers must produce identical logical traces (the wheel is a
-    faster implementation of the *same* deterministic order)."""
+    """Both schedulers must produce identical logical traces (the ready-FIFO
+    kernel is a faster implementation of the *same* deterministic order)."""
     if ReferenceSimulator is None:  # pragma: no cover - seed kernel
         pytest.skip("reference scheduler not available")
-    wheel = once(benchmark, lambda: run_kernel_scenario("small"))
+    kernel = once(benchmark, lambda: run_kernel_scenario("small"))
     heap = run_kernel_scenario("small", sim_cls=ReferenceSimulator)
-    assert {k: wheel[k] for k in TRACE_KEYS} == {k: heap[k] for k in TRACE_KEYS}
-    benchmark.extra_info["wheel_vs_heap_wall"] = round(
-        heap["wall_s"] / max(wheel["wall_s"], 1e-9), 2
+    assert {k: kernel[k] for k in TRACE_KEYS} == {k: heap[k] for k in TRACE_KEYS}
+    benchmark.extra_info["kernel_vs_reference_wall"] = round(
+        heap["wall_s"] / max(kernel["wall_s"], 1e-9), 2
     )
 
 

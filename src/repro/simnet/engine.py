@@ -20,35 +20,30 @@ comes from explicitly seeded generators owned by the network models.
 Scheduling internals
 --------------------
 
-The kernel used to be a single monolithic ``heapq``; at grid scale (hundreds
-of booted hosts, thousands of concurrent timers) the heap churns on three
-workloads that have cheaper homes:
+Two structures hold everything that is pending:
 
-* **same-timestamp completions** — the vast majority of entries are
-  triggered events and zero-delay callbacks that fire *now*; they live in a
-  plain FIFO deque (:attr:`Simulator._ready`) and never touch the heap;
-* **near-future timers** — entries within the wheel horizon go into a
-  hierarchical timer wheel (:attr:`Simulator._buckets`): per-bucket append
-  is O(1) and each bucket is sorted once when its turn comes (sorting one
-  small, mostly-ordered bucket is far cheaper than maintaining a global
-  heap invariant per event);
-* **far-future timers** — everything past the horizon waits in an overflow
-  heap and is re-bucketed wheel-window by wheel-window.
+* **same-timestamp completions** — triggered events and zero-delay
+  callbacks fire *now*; they are the vast majority of entries and live in
+  a plain FIFO deque (:attr:`Simulator._ready`) that never touches a heap;
+* **future timers** — everything scheduled past the current instant waits
+  in one ``heapq`` of ``(when, seq, handle)`` triples
+  (:attr:`Simulator._heap`), so every ordering comparison is a C tuple
+  compare.
 
 Every scheduling call returns a :class:`TimerHandle`; cancellation is lazy
-(the handle is flagged and skipped when its slot drains) so cancelling is
-O(1) and dead entries no longer churn the queue.  The executed order is the
-exact ``(when, seq)`` order of the historical heap kernel —
-:class:`ReferenceSimulator` keeps that original scheduler alive as an
-executable specification, and the tier-1 suite asserts trace equality
-between the two on recorded scenarios.
+(the handle is flagged and skipped when it reaches the head) so cancelling
+is O(1) and never searches a queue.  The executed order is the exact
+``(when, seq)`` order of the historical single-heap kernel —
+:class:`ReferenceSimulator` keeps that original scheduler, which puts
+same-timestamp entries on the heap too, alive as an executable
+specification, and the tier-1 suite asserts trace equality between the two.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 
@@ -61,14 +56,17 @@ class SimulationError(RuntimeError):
 #: :class:`TimerHandle` lifecycle states.
 _PENDING, _FIRED, _CANCELLED = 0, 1, 2
 
+_INF = float("inf")
+
+
 class TimerHandle:
     """One scheduled callback, cancellable in O(1).
 
     Returned by :meth:`Simulator.call_later` / :meth:`Simulator.call_at`.
     :meth:`cancel` flags the entry and drops the callback references
-    immediately; the slot itself is removed lazily when the wheel (or the
-    overflow heap) drains past it, so cancellation never has to search a
-    queue.  Handles order by ``(when, seq)`` — the engine-wide total order.
+    immediately; the slot itself is removed lazily when it reaches the head
+    of its queue, so cancellation never has to search a queue.  Handles
+    order by ``(when, seq)`` — the engine-wide total order.
     """
 
     __slots__ = ("when", "seq", "sim", "fn", "args", "_state")
@@ -119,16 +117,14 @@ class SimStats:
         "timers_scheduled",
         "cancellations",
         "peak_pending",
-        "wheel_rebuilds",
     )
 
     def __init__(self, events_processed: int, timers_scheduled: int, cancellations: int,
-                 peak_pending: int, wheel_rebuilds: int):
+                 peak_pending: int):
         self.events_processed = events_processed
         self.timers_scheduled = timers_scheduled
         self.cancellations = cancellations
         self.peak_pending = peak_pending
-        self.wheel_rebuilds = wheel_rebuilds
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -202,7 +198,7 @@ class SimEvent:
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "SimEvent":
         """Trigger the event successfully, optionally after ``delay``."""
-        if delay > 0.0:
+        if not delay <= 0.0:  # positive or NaN: call_later rejects non-finite
             self.sim.call_later(delay, self.succeed, value)
             return self
         if self._triggered:
@@ -214,7 +210,7 @@ class SimEvent:
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "SimEvent":
         """Trigger the event with an exception, optionally after ``delay``."""
-        if delay > 0.0:
+        if not delay <= 0.0:
             self.sim.call_later(delay, self.fail, exc)
             return self
         if self._triggered:
@@ -473,19 +469,14 @@ class AnyOf(SimEvent):
             self.fail(ev.value)
 
 class Simulator:
-    """The event loop: a virtual clock plus the timer wheel.
+    """The event loop: a virtual clock, a ready FIFO and a timer heap.
 
-    ``wheel_width`` (seconds per bucket) and ``wheel_buckets`` define the
-    near-future horizon ``wheel_width * wheel_buckets``; timers past the
-    horizon wait in the overflow heap and are re-bucketed one window at a
-    time.  The defaults (64 µs x 512 = ~33 ms) fit the simulated stacks:
-    per-message software costs and LAN round trips land in the wheel while
-    probe intervals and WAN timeouts ride the overflow heap.
-
-    Internally every structure stores ``(when, seq, handle)`` triples so all
-    ordering comparisons run as C tuple compares; triggered events skip the
-    timer structures entirely and ride the ``_ready`` FIFO as
-    ``(seq, event)`` pairs.
+    Triggered events and callbacks due at the current instant ride the
+    ``_ready`` FIFO (each stamped with its ``seq``); timers due later wait
+    in the ``_heap`` min-heap of ``(when, seq, handle)`` triples.  The run
+    loop interleaves the two in exact ``(when, seq)`` order.  Scheduled
+    times must be finite: ``call_later``/``call_at`` reject NaN and
+    infinities, which would otherwise break the heap order.
 
     ``Simulator(partitions=N)`` with ``N > 1`` returns a
     :class:`~repro.simnet.partition.PartitionedSimulator` instead: the same
@@ -520,8 +511,6 @@ class Simulator:
     def __init__(
         self,
         *,
-        wheel_width: float = 64e-6,
-        wheel_buckets: int = 512,
         partitions: Optional[int] = None,
         executor: Optional[Any] = None,
         lookahead: Optional[float] = None,
@@ -533,40 +522,20 @@ class Simulator:
                 f"{type(self).__name__} does not support partitions={partitions!r}"
             )
         del partitions, executor, lookahead  # single-loop kernel: no-ops
-        if wheel_width <= 0.0 or wheel_buckets < 1:
-            raise SimulationError("wheel_width must be positive and wheel_buckets >= 1")
         self._now = 0.0
         self._seq = 0
         self._stopped = False
-        # same-timestamp FIFO: (seq, SimEvent) for triggered events and
-        # (seq, TimerHandle) for zero-delay callbacks, in seq order
+        # same-timestamp FIFO: triggered SimEvents and zero-delay
+        # TimerHandles, each stamped with its seq, in seq order
         self._ready: deque = deque()
-        # timer wheel: the bucket at `_cursor` is drained through `_batch`
-        self._width = float(wheel_width)
-        self._inv_width = 1.0 / float(wheel_width)
-        self._nbuckets = int(wheel_buckets)
-        self._span = self._width * self._nbuckets
-        self._buckets: List[List] = [[] for _ in range(self._nbuckets)]
-        self._wheel_count = 0
-        self._epoch: Optional[float] = None  # None: wheel idle, overflow holds all timers
-        self._cursor = -1
-        self._batch: List = []
-        self._batch_pos = 0
-        # sub-bucket-width delays scheduled while their bucket drains
-        self._imminent: List = []
-        self._head_imminent = False
-        # far-future timers: (when, seq, handle) beyond the wheel window
-        self._overflow: List = []
-        # bumped whenever a timer lands in a timer structure, so the run
-        # loop's cached head knows to re-pull
-        self._timer_gen = 0
+        # future timers: (when, seq, handle) min-heap
+        self._heap: List = []
         # counters (see stats())
         self._live = 0
         self._events_processed = 0
         self._timers_scheduled = 0
         self._cancellations = 0
         self._peak_pending = 0
-        self._wheel_rebuilds = 0
 
     # -- clock ------------------------------------------------------------
     @property
@@ -600,14 +569,20 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
     def call_later(self, delay: float, fn: Callable, *args: Any) -> TimerHandle:
         """Run ``fn(*args)`` after ``delay`` virtual seconds; cancellable."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
+        if not 0.0 <= delay < _INF:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
+            raise SimulationError(f"timer delay must be finite, got {delay!r}")
         return self._schedule(self._now + delay, fn, args)
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> TimerHandle:
         """Run ``fn(*args)`` at absolute virtual time ``when``; cancellable."""
-        if when < self._now:
-            raise SimulationError(f"cannot schedule in the past (t={when!r} < now={self._now!r})")
+        if not self._now <= when < _INF:
+            if when < self._now:
+                raise SimulationError(
+                    f"cannot schedule in the past (t={when!r} < now={self._now!r})"
+                )
+            raise SimulationError(f"timer time must be finite, got {when!r}")
         return self._schedule(when, fn, args)
 
     # -- partition-aware entry points (single-loop: plain pass-throughs) ----
@@ -732,106 +707,21 @@ class Simulator:
         if when <= self._now:
             # fires at the current timestamp: FIFO deque, no heap traffic
             self._ready.append(handle)
-            return handle
-        self._timer_gen += 1
-        epoch = self._epoch
-        if epoch is not None:
-            idx = int((when - epoch) * self._inv_width)
-            if idx <= self._cursor:
-                # lands inside the bucket currently being drained (delays
-                # shorter than the bucket width: layering costs, dispatch
-                # delays).  A dedicated small heap keeps this O(log m)
-                # whatever the batch size.
-                heapq.heappush(self._imminent, (when, seq, handle))
-            elif idx < self._nbuckets:
-                self._buckets[idx].append((when, seq, handle))
-                self._wheel_count += 1
-            else:
-                heapq.heappush(self._overflow, (when, seq, handle))
         else:
-            heapq.heappush(self._overflow, (when, seq, handle))
+            heappush(self._heap, (when, seq, handle))
         return handle
 
-    # -- timer-wheel internals ---------------------------------------------
-    def _pop_timer(self) -> None:
-        """Remove the triple last returned by :meth:`_pull` from its home."""
-        if self._head_imminent:
-            heapq.heappop(self._imminent)
-        else:
-            self._batch_pos += 1
-
-    def _pull(self) -> Optional[tuple]:
-        """The next live timer triple in (when, seq) order, or None.  The
-        triple is left in place; pop it with :meth:`_pop_timer`."""
-        imminent = self._imminent
-        while imminent and imminent[0][2]._state != _PENDING:
-            heapq.heappop(imminent)
-        while True:
-            batch = self._batch
-            pos = self._batch_pos
-            size = len(batch)
-            while pos < size:
-                triple = batch[pos]
-                if triple[2]._state == _PENDING:
-                    self._batch_pos = pos
-                    if imminent and imminent[0] < triple:
-                        self._head_imminent = True
-                        return imminent[0]
-                    self._head_imminent = False
-                    return triple
-                pos += 1
-            self._batch_pos = pos
-            if imminent:
-                # everything in `imminent` precedes every future bucket
-                self._head_imminent = True
-                return imminent[0]
-            if self._wheel_count:
-                cursor = self._cursor + 1
-                buckets = self._buckets
-                nbuckets = self._nbuckets
-                while cursor < nbuckets and not buckets[cursor]:
-                    cursor += 1
-                if cursor < nbuckets:
-                    self._cursor = cursor
-                    bucket = buckets[cursor]
-                    buckets[cursor] = []
-                    self._wheel_count -= len(bucket)
-                    bucket.sort()
-                    self._batch = bucket
-                    self._batch_pos = 0
-                    continue
-                self._wheel_count = 0  # pragma: no cover - defensive resync
-            # wheel exhausted: build the next window around the overflow head
-            overflow = self._overflow
-            while overflow and overflow[0][2]._state != _PENDING:
-                heapq.heappop(overflow)
-            if not overflow:
-                self._epoch = None
-                self._cursor = -1
-                self._batch = []
-                self._batch_pos = 0
-                return None
-            epoch = overflow[0][0]
-            window_end = epoch + self._span
-            self._epoch = epoch
-            self._cursor = -1
-            self._wheel_rebuilds += 1
-            buckets = self._buckets
-            nbuckets = self._nbuckets
-            inv_width = self._inv_width
-            count = 0
-            while overflow and overflow[0][0] < window_end:
-                triple = heapq.heappop(overflow)
-                if triple[2]._state != _PENDING:
-                    continue
-                idx = int((triple[0] - epoch) * inv_width)
-                if idx >= nbuckets:  # pragma: no cover - float boundary guard
-                    idx = nbuckets - 1
-                buckets[idx].append(triple)
-                count += 1
-            self._wheel_count = count
-            self._batch = []
-            self._batch_pos = 0
+    def _next_timer(self) -> Optional[tuple]:
+        """The live head ``(when, seq, handle)`` of the timer heap, or None.
+        Cancelled heads are popped on the way (lazy deletion); the live head
+        is left in place."""
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[2]._state == _PENDING:
+                return head
+            heappop(heap)
+        return None
 
     def _execute_ready(self, item) -> None:
         """Run one ``_ready`` entry (SimEvent or zero-delay TimerHandle)."""
@@ -877,7 +767,7 @@ class Simulator:
     def step(self) -> bool:
         """Run one scheduled entry.  Returns False when nothing is pending."""
         ready_head = self._next_ready()
-        timer_head = self._pull()
+        timer_head = self._next_timer()
         if ready_head is not None and (
             timer_head is None
             or self._now < timer_head[0]
@@ -888,9 +778,34 @@ class Simulator:
             return True
         if timer_head is None:
             return False
-        self._pop_timer()
+        heappop(self._heap)
         self._execute_timer(timer_head[2])
         return True
+
+    def _run_target(self, until: Optional[Any]) -> tuple:
+        """Split :meth:`run`'s ``until`` into ``(target_event, target_time)``.
+        A target time before ``now`` is refused: the clock never moves
+        backwards."""
+        if until is None:
+            return None, None
+        if isinstance(until, SimEvent):
+            return until, None
+        target_time = float(until)
+        if target_time < self.now:
+            raise SimulationError(
+                f"cannot run backwards in time (until={target_time!r} < now={self.now!r})"
+            )
+        return None, target_time
+
+    @staticmethod
+    def _run_result(target_event: Optional[SimEvent]) -> Any:
+        """:meth:`run`'s return value: the target event's value, or its
+        exception raised; None when there is no triggered target."""
+        if target_event is not None and target_event.triggered:
+            if target_event.ok:
+                return target_event.value
+            raise target_event.value
+        return None
 
     def run(self, until: Optional[Any] = None, max_time: Optional[float] = None) -> Any:
         """Run the loop.
@@ -901,33 +816,24 @@ class Simulator:
             ``None`` — run until no events remain; a :class:`SimEvent` — run
             until that event is processed and return its value (raising its
             exception if it failed); a number — run until virtual time
-            reaches that instant.
+            reaches that instant (inclusive), which must not precede ``now``.
         max_time:
             Safety cap on virtual time; exceeding it raises
             :class:`SimulationError` (used by tests as a deadlock guard).
         """
+        target_event, target_time = self._run_target(until)
         self._stopped = False
-        target_event: Optional[SimEvent] = None
-        target_time: Optional[float] = None
-        if isinstance(until, SimEvent):
-            target_event = until
-        elif until is not None:
-            target_time = float(until)
-
         # The loop interleaves the same-timestamp FIFO with due timers in
-        # exact (when, seq) order.  The next-timer triple is cached across
-        # ready-FIFO drains: executed events can only add timers through
-        # `_schedule`, which bumps `_timer_gen`, and cancellations are
-        # caught by the handle-state check.
+        # exact (when, seq) order; the heap head is re-read every iteration
+        # because any executed entry may schedule an earlier timer.
         ready = self._ready
-        timer = None
-        timer_gen = -1
+        heap = self._heap
         while not self._stopped:
             if target_event is not None and target_event._processed:
                 break
-            if timer is None or timer_gen != self._timer_gen or timer[2]._state != _PENDING:
-                timer = self._pull()
-                timer_gen = self._timer_gen
+            while heap and heap[0][2]._state != _PENDING:
+                heappop(heap)
+            timer = heap[0] if heap else None
             if ready:
                 item = ready[0]
                 is_handle = item.__class__ is TimerHandle
@@ -969,15 +875,9 @@ class Simulator:
                 break
             if max_time is not None and when > max_time:
                 raise SimulationError(f"virtual time exceeded max_time={max_time}")
-            self._pop_timer()
+            heappop(heap)
             self._execute_timer(timer[2])
-            timer = None
-
-        if target_event is not None and target_event.triggered:
-            if target_event.ok:
-                return target_event.value
-            raise target_event.value
-        return None
+        return self._run_result(target_event)
 
     def stop(self) -> None:
         """Stop :meth:`run` at the next iteration (used by watchdogs)."""
@@ -991,13 +891,12 @@ class Simulator:
 
     def stats(self) -> SimStats:
         """Kernel counters: events processed, timers scheduled, cancellations,
-        peak pending entries, wheel-window rebuilds."""
+        peak pending entries."""
         return SimStats(
             events_processed=self._events_processed,
             timers_scheduled=self._timers_scheduled,
             cancellations=self._cancellations,
             peak_pending=self._peak_pending,
-            wheel_rebuilds=self._wheel_rebuilds,
         )
 
 
@@ -1005,62 +904,54 @@ class ReferenceSimulator(Simulator):
     """The historical monolithic-heap scheduler, kept as an executable
     ordering specification.
 
-    Everything — zero-delay callbacks, triggered events, near and far
-    timers — goes through one ``heapq`` ordered by ``(when, seq)``, exactly
-    like the pre-wheel kernel.  The tier-1 determinism tests run recorded
-    scenarios on both schedulers and assert trace equality; the scale
-    benchmark uses it to quantify the wheel's gain on identical workloads.
-    Cancellation is honoured (dead entries are skipped when popped) so the
-    two kernels accept the same API.
+    Everything — zero-delay callbacks, triggered events and future timers —
+    goes through the one ``heapq`` ordered by ``(when, seq)``; that is its
+    only difference from :class:`Simulator`, which keeps same-timestamp
+    entries on the ready FIFO.  The tier-1 determinism tests run recorded
+    scenarios and random operation storms on both schedulers and assert
+    trace equality; the scale benchmark compares the two on identical
+    workloads.  Cancellation is honoured (dead entries are skipped when
+    popped) and the counters mean the same, so the two kernels accept the
+    same API and report equal :meth:`stats`.
     """
 
-    def __init__(self, *, wheel_width: float = 64e-6, wheel_buckets: int = 512) -> None:
-        super().__init__(wheel_width=wheel_width, wheel_buckets=wheel_buckets)
-        self._heap: List = []
+    def __init__(self) -> None:
+        # no partitions/executor/lookahead: the oracle is single-loop only
+        super().__init__()
 
-    def _push_triggered(self, ev: SimEvent) -> None:
-        self._schedule(self._now, self._process_event, (ev,))
-
-    def _schedule(self, when: float, fn: Callable, args: tuple) -> TimerHandle:
+    def _push_heap(self, when: float, fn: Callable, args: tuple) -> TimerHandle:
         seq = self._seq = self._seq + 1
         handle = TimerHandle(when, seq, self, fn, args)
         live = self._live = self._live + 1
         if live > self._peak_pending:
             self._peak_pending = live
-        self._timers_scheduled += 1
-        heapq.heappush(self._heap, (when, seq, handle))
+        heappush(self._heap, (when, seq, handle))
         return handle
 
-    def _peek_live(self) -> Optional[TimerHandle]:
-        heap = self._heap
-        while heap:
-            handle = heap[0][2]
-            if handle._state == _PENDING:
-                return handle
-            heapq.heappop(heap)
-        return None
+    def _push_triggered(self, ev: SimEvent) -> None:
+        # heap-ordered, but counted like Simulator's ready-FIFO entries: a
+        # triggered event is not a scheduled timer, so stats() compare equal
+        self._push_heap(self._now, self._process_event, (ev,))
+
+    def _schedule(self, when: float, fn: Callable, args: tuple) -> TimerHandle:
+        self._timers_scheduled += 1
+        return self._push_heap(when, fn, args)
 
     def step(self) -> bool:
-        handle = self._peek_live()
-        if handle is None:
+        head = self._next_timer()
+        if head is None:
             return False
-        heapq.heappop(self._heap)
-        self._execute_timer(handle)
+        heappop(self._heap)
+        self._execute_timer(head[2])
         return True
 
     def run(self, until: Optional[Any] = None, max_time: Optional[float] = None) -> Any:
+        target_event, target_time = self._run_target(until)
         self._stopped = False
-        target_event: Optional[SimEvent] = None
-        target_time: Optional[float] = None
-        if isinstance(until, SimEvent):
-            target_event = until
-        elif until is not None:
-            target_time = float(until)
-
         while not self._stopped:
             if target_event is not None and target_event._processed:
                 break
-            head = self._peek_live()
+            head = self._next_timer()
             if head is None:
                 if target_event is not None and not target_event.triggered:
                     raise SimulationError(
@@ -1068,16 +959,12 @@ class ReferenceSimulator(Simulator):
                         "(deadlock: nobody will ever trigger it)"
                     )
                 break
-            if target_time is not None and head.when > target_time:
+            when = head[0]
+            if target_time is not None and when > target_time:
                 self._now = target_time
                 break
-            if max_time is not None and head.when > max_time:
+            if max_time is not None and when > max_time:
                 raise SimulationError(f"virtual time exceeded max_time={max_time}")
-            heapq.heappop(self._heap)
-            self._execute_timer(head)
-
-        if target_event is not None and target_event.triggered:
-            if target_event.ok:
-                return target_event.value
-            raise target_event.value
-        return None
+            heappop(self._heap)
+            self._execute_timer(head[2])
+        return self._run_result(target_event)

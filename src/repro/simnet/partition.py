@@ -12,8 +12,8 @@ peers at all.
 :class:`PartitionedSimulator` is a drop-in for
 :class:`~repro.simnet.engine.Simulator` (``Simulator(partitions=N)``
 constructs one).  It owns ``N`` :class:`_PartitionShard` queues — each a
-full timer-wheel kernel reusing the PR 3 machinery — and runs them in
-windows::
+full single-loop kernel with its own ready FIFO and timer heap — and runs
+them in windows::
 
     window = [start, start + lookahead]   (inclusive of the horizon)
 
@@ -123,11 +123,12 @@ class LookaheadViolation(SimulationError):
 
 
 class _PartitionShard(Simulator):
-    """One partition's event queue: a full timer-wheel kernel plus the
-    bookkeeping the facade needs (index, mailbox sequence counter)."""
+    """One partition's event queue: a full single-loop kernel (ready FIFO
+    plus timer heap) and the bookkeeping the facade needs (index, mailbox
+    sequence counter)."""
 
-    def __init__(self, index: int, *, wheel_width: float, wheel_buckets: int):
-        super().__init__(wheel_width=wheel_width, wheel_buckets=wheel_buckets)
+    def __init__(self, index: int):
+        super().__init__()
         self.index = index
         self._mail_seq = itertools.count()
 
@@ -135,8 +136,15 @@ class _PartitionShard(Simulator):
         """Timestamp of this shard's earliest live entry, or None."""
         if self._next_ready() is not None:
             return self._now
-        head = self._pull()
+        head = self._next_timer()
         return head[0] if head is not None else None
+
+    def _run_target(self, until: float) -> tuple:
+        # Window runs skip the clock-never-rewinds check: an idle shard's
+        # clock parks at the previous window's edge, and when the lookahead
+        # shrinks at a barrier the next window can end before it; the shard
+        # then winds back to that horizon.  The facade's run() keeps the check.
+        return None, until
 
 
 class _RoundRobinExecutor:
@@ -253,8 +261,6 @@ class PartitionedSimulator(Simulator):
         partitions: int,
         executor: Any = None,
         lookahead: Optional[float] = None,
-        wheel_width: float = 64e-6,
-        wheel_buckets: int = 512,
     ) -> None:
         # deliberately no super().__init__(): the facade owns no queue of its
         # own — every structure-touching method is overridden to route into a
@@ -266,10 +272,7 @@ class PartitionedSimulator(Simulator):
             )
         if lookahead is not None and lookahead <= 0.0:
             raise SimulationError(f"lookahead must be positive, got {lookahead!r}")
-        self._shards: List[_PartitionShard] = [
-            _PartitionShard(i, wheel_width=wheel_width, wheel_buckets=wheel_buckets)
-            for i in range(partitions)
-        ]
+        self._shards: List[_PartitionShard] = [_PartitionShard(i) for i in range(partitions)]
         self._mailboxes: List[List[Tuple]] = [[] for _ in range(partitions)]
         self._mail_lock = threading.Lock()
         self._tls = threading.local()
@@ -638,13 +641,8 @@ class PartitionedSimulator(Simulator):
         return best
 
     def run(self, until: Optional[Any] = None, max_time: Optional[float] = None) -> Any:
+        target_event, target_time = self._run_target(until)
         self._p_stopped = False
-        target_event: Optional[SimEvent] = None
-        target_time: Optional[float] = None
-        if isinstance(until, SimEvent):
-            target_event = until
-        elif until is not None:
-            target_time = float(until)
 
         prepare = getattr(self._executor, "on_run_start", None)
         if prepare is not None:
@@ -672,11 +670,7 @@ class PartitionedSimulator(Simulator):
                     return value
                 raise value
             return None
-        if target_event is not None and target_event.triggered:
-            if target_event.ok:
-                return target_event.value
-            raise target_event.value
-        return None
+        return self._run_result(target_event)
 
     def _target_done(self, target_event: Optional[SimEvent], watcher: Optional[Any]) -> bool:
         if watcher is not None:
@@ -815,11 +809,11 @@ class PartitionedSimulator(Simulator):
         :class:`~repro.simnet.engine.SimStats` shape the single loop
         returns (``.as_dict()`` keys match field-for-field).
 
-        ``events_processed``, ``timers_scheduled``, ``cancellations`` and
-        ``wheel_rebuilds`` sum exactly across shards.  ``peak_pending`` is
-        per-shard by nature: the merged value is the *sum of per-shard
-        peaks*, an upper bound on the true concurrent peak (shards hit
-        their maxima at different instants).  Use :meth:`partition_stats`
+        ``events_processed``, ``timers_scheduled`` and ``cancellations``
+        sum exactly across shards.  ``peak_pending`` is per-shard by
+        nature: the merged value is the *sum of per-shard peaks*, an upper
+        bound on the true concurrent peak (shards hit their maxima at
+        different instants).  Use :meth:`partition_stats`
         for the undistorted per-shard view.  All counters are executor-
         independent: every executor runs identical per-shard schedules, so
         ``stats()`` compares equal across round-robin, thread and process
@@ -830,7 +824,6 @@ class PartitionedSimulator(Simulator):
             timers_scheduled=sum(s.timers_scheduled for s in shard_stats),
             cancellations=sum(s.cancellations for s in shard_stats),
             peak_pending=sum(s.peak_pending for s in shard_stats),
-            wheel_rebuilds=sum(s.wheel_rebuilds for s in shard_stats),
         )
 
     def partition_stats(self) -> List[SimStats]:

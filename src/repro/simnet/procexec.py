@@ -605,9 +605,6 @@ class ProcessPoolExecutor:
                     + inflight,
                     cancellations=st.cancellations + cur.cancellations - base.cancellations,
                     peak_pending=st.peak_pending,
-                    wheel_rebuilds=st.wheel_rebuilds
-                    + cur.wheel_rebuilds
-                    - base.wheel_rebuilds,
                 )
             )
         return merged
@@ -685,17 +682,8 @@ def _clear_shadow_queue(shard) -> None:
     (without running anything) makes ``next_event_time`` report only what
     barrier-context code scheduled since the last clear."""
     shard._ready.clear()
-    shard._buckets = [[] for _ in range(shard._nbuckets)]
-    shard._wheel_count = 0
-    shard._epoch = None
-    shard._cursor = -1
-    shard._batch = []
-    shard._batch_pos = 0
-    shard._imminent = []
-    shard._head_imminent = False
-    shard._overflow = []
+    shard._heap.clear()
     shard._live = 0
-    shard._timer_gen += 1
 
 
 def _shutdown_workers(procs, conns) -> None:

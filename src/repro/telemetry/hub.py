@@ -165,7 +165,7 @@ class TelemetryHub:
                 # repeated flushes stay idempotent
                 continue
             # events/timers/cancellations are windowed deltas; peak_pending
-            # and wheel_rebuilds are cumulative (a peak has no useful delta)
+            # is cumulative (a peak has no useful delta)
             base = prev or {}
             self._commit(
                 {
@@ -178,7 +178,6 @@ class TelemetryHub:
                     "timers": cur["timers_scheduled"] - base.get("timers_scheduled", 0),
                     "cancels": cur["cancellations"] - base.get("cancellations", 0),
                     "peak_pending": cur["peak_pending"],
-                    "wheel_rebuilds": cur["wheel_rebuilds"],
                 }
             )
 

@@ -45,21 +45,21 @@ class MetricSeries:
             raise ValueError(f"window must be positive, got {window!r}")
         self.name = name
         self.window = window
-        self._buckets: Dict[int, List[float]] = {}
+        self._windows: Dict[int, List[float]] = {}
 
     def add(self, t: float, value: float) -> None:
         """Record ``value`` observed at virtual time ``t``."""
         idx = 0 if self.window is None else int(t // self.window)
-        self._buckets.setdefault(idx, []).append(float(value))
+        self._windows.setdefault(idx, []).append(float(value))
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._buckets.values())
+        return sum(len(v) for v in self._windows.values())
 
     def summarize(self) -> List[Dict[str, Union[float, int]]]:
         """Per-bucket summaries, ordered by bucket start time."""
         out: List[Dict[str, Union[float, int]]] = []
-        for idx in sorted(self._buckets):
-            values = sorted(self._buckets[idx])
+        for idx in sorted(self._windows):
+            values = sorted(self._windows[idx])
             total = sum(values)
             out.append(
                 {

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.simnet.engine import (
     AllOf,
@@ -404,46 +406,48 @@ def test_interrupt_still_delivers_cause():
 
 
 # ---------------------------------------------------------------------------
-# timer wheel: boundaries, overflow, ordering
+# timer ordering, on both kernels
 # ---------------------------------------------------------------------------
 
+#: the single-loop kernel and its ordering oracle
+KERNELS = [Simulator, ReferenceSimulator]
 
-def test_wheel_bucket_boundary_times():
-    """Timers exactly on bucket edges and window edges fire in time order."""
-    sim = Simulator(wheel_width=1e-3, wheel_buckets=4)  # window = 4 ms
+#: every kernel class, including the partitioned facade
+ALL_KERNELS = pytest.mark.parametrize(
+    "make_sim",
+    [Simulator, ReferenceSimulator, lambda: Simulator(partitions=2)],
+    ids=["Simulator", "ReferenceSimulator", "Partitioned2"],
+)
+
+
+@pytest.mark.parametrize("sim_cls", KERNELS)
+def test_tied_and_nearly_tied_timers_fire_in_when_seq_order(sim_cls):
+    """Exact ties fire in scheduling order, near ties by time, and timers
+    spread far into the future drain in time order."""
+    sim = sim_cls()
     fired = []
-    for delay in (0.004, 0.001, 0.0, 0.002, 0.0039999, 0.008, 0.0040001, 0.012, 0.003):
-        sim.call_later(delay, lambda d=delay: fired.append(d))
+    near = [0.004, 0.001, 0.0, 0.002, 0.0039999, 0.008, 0.0040001, 0.012, 0.003]
+    ties = [0.004, 0.001, 0.0]
+    far = [i * 0.0075 for i in range(40)]
+    random.Random(7).shuffle(far)
+    delays = near + ties + far
+    for i, delay in enumerate(delays):
+        sim.call_later(delay, lambda d=delay, i=i: fired.append((d, i)))
     sim.run()
     assert fired == sorted(fired)
-    assert sim.now == pytest.approx(0.012)
+    assert sim.now == pytest.approx(max(delays))
 
 
-def test_wheel_overflow_rebuild():
-    """Timers far past the horizon drain window by window."""
-    sim = Simulator(wheel_width=1e-3, wheel_buckets=8)  # window = 8 ms
-    fired = []
-    delays = [i * 0.0075 for i in range(40)]  # spans many windows
-    rng = random.Random(7)
-    rng.shuffle(delays)
-    for delay in delays:
-        sim.call_later(delay, lambda d=delay: fired.append(d))
-    sim.run()
-    assert fired == sorted(delays)
-    assert sim.stats().wheel_rebuilds >= 2
-
-
-def test_schedule_into_current_bucket_preserves_order():
-    """Sub-bucket-width delays land before later same-bucket timers."""
-    sim = Simulator(wheel_width=1.0, wheel_buckets=4)
+@pytest.mark.parametrize("sim_cls", KERNELS)
+def test_shorter_delay_from_callback_overtakes_queued_timer(sim_cls):
+    """A callback's short delay lands before a later timer already queued."""
+    sim = sim_cls()
     fired = []
     sim.call_later(0.9, lambda: fired.append("late"))
 
     def early():
         fired.append("first")
-        # now=0.5; 0.2 lands inside the currently-draining bucket, before
-        # the 0.9 entry that is already sorted into the batch
-        sim.call_later(0.2, lambda: fired.append("second"))
+        sim.call_later(0.2, lambda: fired.append("second"))  # t=0.7 < 0.9
 
     sim.call_later(0.5, early)
     sim.run()
@@ -452,7 +456,7 @@ def test_schedule_into_current_bucket_preserves_order():
 
 def test_same_time_fifo_across_structures():
     """Entries at one timestamp fire in scheduling order regardless of the
-    structure (wheel bucket vs. triggered-event FIFO) they came from."""
+    structure (timer heap vs. triggered-event FIFO) they came from."""
     sim = Simulator()
     fired = []
     sim.call_later(1.0, lambda: fired.append("timer-a"))
@@ -470,8 +474,10 @@ def test_same_time_fifo_across_structures():
     assert fired == ["timer-a", "timer-b", "timer-c", "event", "zero-delay"]
 
 
-def test_run_until_time_with_wheel_boundaries():
-    sim = Simulator(wheel_width=1e-3, wheel_buckets=4)
+@pytest.mark.parametrize("sim_cls", KERNELS)
+def test_run_until_time_is_inclusive(sim_cls):
+    """``run(until=t)`` fires the timer at ``t`` and leaves later ones."""
+    sim = sim_cls()
     fired = []
     for delay in (0.001, 0.005, 0.02):
         sim.call_later(delay, lambda d=delay: fired.append(d))
@@ -479,6 +485,58 @@ def test_run_until_time_with_wheel_boundaries():
     assert fired == [0.001, 0.005]
     assert sim.now == pytest.approx(0.005)
     assert sim.pending_count() == 1
+
+
+@ALL_KERNELS
+def test_run_until_before_now_is_rejected(make_sim):
+    """The clock never moves backwards: a target time before ``now`` is an
+    error, and later timers keep their order."""
+    sim = make_sim()
+    fired = []
+    sim.call_later(5.0, lambda: fired.append(sim.now))
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+    with pytest.raises(SimulationError):
+        sim.run(until=3.0)
+    assert sim.now == 5.0
+    sim.call_later(1.0, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [5.0, 6.0]
+
+
+_SCHEDULERS = {
+    "call_later": lambda sim, v: sim.call_later(v, lambda: None),
+    "call_at": lambda sim, v: sim.call_at(v, lambda: None),
+    "timeout": lambda sim, v: sim.timeout(v),
+    "succeed": lambda sim, v: sim.event().succeed(1, delay=v),
+    "fail": lambda sim, v: sim.event().fail(RuntimeError("x"), delay=v),
+    "every": lambda sim, v: sim.every(v, lambda: None),
+}
+_NON_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}
+
+
+@ALL_KERNELS
+@pytest.mark.parametrize(
+    "schedule,value",
+    [
+        pytest.param(_SCHEDULERS[name], _NON_FINITE[v], id=f"{name}-{v}")
+        for name in _SCHEDULERS
+        for v in _NON_FINITE
+        # succeed/fail treat any delay <= 0 as "now", -inf included
+        if not (name in ("succeed", "fail") and v == "-inf")
+    ],
+)
+def test_non_finite_times_are_rejected(make_sim, schedule, value):
+    """NaN and infinite times never reach a queue (a NaN head would wedge or
+    silently reorder the timers behind it)."""
+    sim = make_sim()
+    fired = []
+    sim.call_later(1.0, lambda: fired.append(sim.now))
+    with pytest.raises(SimulationError):
+        schedule(sim, value)
+    sim.run(max_time=10.0)
+    assert fired == [1.0]
+    assert sim.pending_count() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -521,19 +579,95 @@ def _recorded_scenario(sim, seed=0xFEED):
 
 
 def test_trace_equality_with_reference_heap():
-    """The wheel kernel executes the exact (when, seq) order of the
+    """The ready-FIFO kernel executes the exact (when, seq) order of the
     monolithic-heap kernel: identical trace, order and timestamps."""
-    wheel_trace = _recorded_scenario(Simulator())
+    fifo_trace = _recorded_scenario(Simulator())
     heap_trace = _recorded_scenario(ReferenceSimulator())
-    assert len(wheel_trace) > 100
-    assert wheel_trace == heap_trace
+    assert len(fifo_trace) > 100
+    assert fifo_trace == heap_trace
 
 
-def test_trace_equality_with_tiny_wheel():
-    """Window rebuilds and bucket-boundary handling do not disturb order."""
-    wheel_trace = _recorded_scenario(Simulator(wheel_width=3e-4, wheel_buckets=4))
-    heap_trace = _recorded_scenario(ReferenceSimulator())
-    assert wheel_trace == heap_trace
+_STORM_DELAYS = st.one_of(
+    st.sampled_from([0.0, 1e-9, 1e-3, 1e-3 + 1e-12, 2e-3, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_STORM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("timer"), _STORM_DELAYS),
+        st.tuples(st.just("zero"), st.just(0.0)),
+        st.tuples(st.just("cancel"), st.integers(0, 1000)),
+        st.tuples(st.just("event"), st.just(None)),
+        st.tuples(st.just("trigger"), st.integers(0, 1000)),
+        st.tuples(st.just("process"), st.lists(_STORM_DELAYS, min_size=1, max_size=4)),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+def _run_storm(sim, ops, split):
+    """Interpret ``ops`` on ``sim`` and return the ``(now, label)`` trace.
+
+    Eight operations apply up front; every recorded callback then applies
+    the next two, so each kernel consumes the program in its own execution
+    order.  The run stops once at ``split`` and then drains."""
+    trace = []
+    handles = []
+    pending = []
+    program = iter(enumerate(ops))
+
+    def fire(label):
+        trace.append((sim.now, label))
+        apply_next()
+        apply_next()
+
+    def proc(label, delays):
+        for delay in delays:
+            yield sim.timeout(delay)
+            trace.append((sim.now, label))
+        return label
+
+    def apply_next():
+        step = next(program, None)
+        if step is None:
+            return
+        i, (kind, arg) = step
+        label = f"{kind}{i}"
+        if kind in ("timer", "zero"):
+            handles.append(sim.call_later(arg, fire, label))
+        elif kind == "cancel":
+            if handles:
+                handles[arg % len(handles)].cancel()
+        elif kind == "event":
+            ev = sim.event(label)
+            ev.add_callback(lambda e: fire(e.name))
+            pending.append(ev)
+        elif kind == "trigger":
+            if pending:
+                pending.pop(arg % len(pending)).succeed()
+        else:
+            p = sim.process(proc(label, arg))
+            p.add_callback(lambda e: fire(f"{e.value}/done"))
+
+    for _ in range(8):
+        apply_next()
+    sim.run(until=split)
+    sim.run()
+    return trace
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=_STORM_OPS, split=st.floats(min_value=0.0, max_value=2.0))
+def test_random_storms_run_identically_on_both_kernels(ops, split):
+    """Schedules, cancellations, triggers, zero-delay callbacks and processes
+    in any mix give the same trace and the same counters on both kernels."""
+    runs = []
+    for sim_cls in KERNELS:
+        sim = sim_cls()
+        trace = _run_storm(sim, ops, split)
+        runs.append((trace, sim.now, sim.stats().as_dict()))
+    assert runs[0] == runs[1]
+    assert runs[0][2]["events_processed"] >= len(runs[0][0])
 
 
 def test_periodic_task_self_cancel_from_callback():

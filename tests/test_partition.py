@@ -679,6 +679,33 @@ def test_call_at_barrier_runs_between_windows():
     assert hook_at >= 0.0012  # never early: applied at the next window edge
 
 
+def test_lookahead_shrink_at_barrier_lets_a_lagging_partition_run():
+    """A barrier hook that shrinks the boundary latency and schedules into a
+    partition whose clock lags the edge starts a window that ends before an
+    idle peer's clock; the window runs (no backwards-run error) and every
+    event still fires."""
+
+    class Link:  # a boundary network: only its latency matters here
+        latency = 1.0
+
+    link = Link()
+    sim = Simulator(partitions=2)
+    sim.add_boundary(link)
+    ran = []
+    sim.call_at_partition(0, 0.1, lambda: ran.append("p0"))
+    sim.call_at_partition(1, 5.0, lambda: ran.append("p1"))
+
+    def hook():
+        link.latency = 0.1
+        with sim.in_partition(0):
+            sim.call_later(0.01, lambda: ran.append("child"))
+
+    sim.call_at_barrier(0.2, hook)
+    sim.run()
+    assert ran == ["p0", "child", "p1"]
+    assert sim.now == 5.0
+
+
 def test_call_at_barrier_process_executor():
     """Barrier hooks across address spaces: the parent runs the
     authoritative copy at the window edge; each worker replays it at the
