@@ -420,6 +420,34 @@ ALL_KERNELS = pytest.mark.parametrize(
 )
 
 
+def test_wheel_bucket_boundary_times():
+    """Timers on and a hair either side of the millisecond edges the old
+    timer wheel bucketed by fire in time order on both kernels."""
+    for sim_cls in KERNELS:
+        sim = sim_cls()
+        fired = []
+        for delay in (0.004, 0.001, 0.0, 0.002, 0.0039999, 0.008, 0.0040001, 0.012, 0.003):
+            sim.call_later(delay, lambda d=delay: fired.append(d))
+        sim.run()
+        assert fired == sorted(fired), sim_cls.__name__
+        assert sim.now == pytest.approx(0.012)
+
+
+def test_wheel_overflow_rebuild():
+    """Timers scheduled in shuffled order far into the future drain in time
+    order on both kernels."""
+    for sim_cls in KERNELS:
+        sim = sim_cls()
+        fired = []
+        delays = [i * 0.0075 for i in range(40)]
+        random.Random(7).shuffle(delays)
+        for delay in delays:
+            sim.call_later(delay, lambda d=delay: fired.append(d))
+        sim.run()
+        assert fired == sorted(delays), sim_cls.__name__
+        assert sim.now == pytest.approx(max(delays))
+
+
 @pytest.mark.parametrize("sim_cls", KERNELS)
 def test_tied_and_nearly_tied_timers_fire_in_when_seq_order(sim_cls):
     """Exact ties fire in scheduling order, near ties by time, and timers
