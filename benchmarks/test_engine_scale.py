@@ -126,18 +126,16 @@ def selected_sizes():
 
 def selected_executor():
     """``ENGINE_EXECUTOR`` selects the partitioned benchmarks' executor
-    (unset / ``round-robin``, ``thread``, or ``process``); returns
+    (unset / ``round-robin`` or ``process``); returns
     ``(executor_arg, kind_suffix)``.  Each executor gates against its own
     recorded baseline kind (``kernel_partitioned``, ``kernel_process``, …)
-    — the process executor pays wire-serialization costs the in-process
-    executors do not, so their trajectories are tracked separately."""
+    — the process executor pays wire-serialization costs round-robin does
+    not, so their trajectories are tracked separately."""
     ex = os.environ.get("ENGINE_EXECUTOR", "").strip()
     if not ex or ex == "round-robin":
         return None, "partitioned"
-    if ex not in ("thread", "process"):
-        raise ValueError(
-            f"ENGINE_EXECUTOR={ex!r}; known executors: round-robin, thread, process"
-        )
+    if ex != "process":
+        raise ValueError(f"ENGINE_EXECUTOR={ex!r}; known executors: round-robin, process")
     return ex, ex
 
 
@@ -581,7 +579,8 @@ def run_kernel_scenario(
     partitioned kernel: clusters map to partitions, every schedule lands in
     its owner's queue, the WAN gateway beats cross partitions through the
     boundary mailboxes, and all counters are per-partition cells (no shard
-    ever writes another shard's cell, so the thread executor stays exact).
+    ever writes another shard's cell, so each process-executor worker's
+    replica holds its partition's exact counts).
     The logical trace — the summed counters — is identical by construction
     on every kernel, which is what the trace-equality tests pin down.
     """
@@ -1052,8 +1051,8 @@ def test_engine_scale_kernel_partitioned(benchmark, once, size):
     """The kernel workload sharded across partitions (2 by default,
     ``ENGINE_PARTITIONS`` overrides; ``ENGINE_EXECUTOR`` selects the
     executor): gated for trace equality with the single loop and against
-    the committed baseline of the matching kind (``kernel_partitioned``,
-    ``kernel_thread`` or ``kernel_process``)."""
+    the committed baseline of the matching kind (``kernel_partitioned`` or
+    ``kernel_process``)."""
     nparts = int(os.environ.get("ENGINE_PARTITIONS", "2"))
     executor, suffix = selected_executor()
     def run():
@@ -1098,14 +1097,6 @@ def test_partitioned_kernel_trace_matches_single_loop(nparts):
     multi = run_kernel_scenario(size, partitions=nparts)
     assert multi["mailbox_deliveries"] > 0
     assert {k: multi[k] for k in TRACE_KEYS} == {k: single[k] for k in TRACE_KEYS}
-
-
-def test_partitioned_kernel_thread_executor_matches_round_robin():
-    """The opt-in thread-pool executor must reproduce the round-robin trace
-    exactly (per-partition state, order-stamped mailboxes)."""
-    round_robin = run_kernel_scenario("small", partitions=2)
-    threaded = run_kernel_scenario("small", partitions=2, executor="thread")
-    assert {k: threaded[k] for k in TRACE_KEYS} == {k: round_robin[k] for k in TRACE_KEYS}
 
 
 def test_partitioned_kernel_process_executor_matches_round_robin():

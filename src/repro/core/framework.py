@@ -253,9 +253,9 @@ class PadicoFramework:
     into their partition's queue, monitoring probes and fault schedules run
     in the partition owning the link/host, and cross-partition traffic rides
     boundary mailboxes under the WAN-latency lookahead.  ``executor``
-    selects how the per-partition queues are driven (``"round-robin"``
-    default, ``"thread"`` and ``"process"`` opt-in — the latter runs one
-    worker process per partition for real multi-core scaling; call
+    selects how the per-partition queues are driven: ``"round-robin"``
+    (default) steps them in turn in this process, ``"process"`` runs one
+    worker process per partition for real multi-core scaling (call
     :meth:`shutdown` when done with it); ``lookahead`` optionally caps the
     window width below the smallest boundary-link latency.
 
@@ -359,8 +359,8 @@ class PadicoFramework:
 
     def shutdown(self) -> None:
         """Release simulator executor resources (the process executor's
-        worker pool in particular).  Idempotent; a no-op for in-process
-        executors and the single-loop kernel."""
+        worker pool in particular).  Idempotent; a no-op under round-robin
+        and on the single-loop kernel."""
         stop = getattr(self.sim, "shutdown", None)
         if stop is not None:
             stop()
@@ -468,8 +468,7 @@ class PadicoFramework:
         caller is the one causally waiting on the relay.  Note that such
         runtime cross-partition provisioning mutates the gateway's node
         state from the caller's shard: deterministic under the round-robin
-        executor, but deployments using ``executor="thread"`` must pre-boot
-        every potential gateway."""
+        executor, where every shard shares one object graph."""
         targets = list(names) if names is not None else list(self._hosts)
         nodes = []
         nparts = self.sim.partition_count

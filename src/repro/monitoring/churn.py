@@ -116,10 +116,10 @@ class FaultInjector:
         latencies per window, so an in-window latency drop below the
         in-flight window would make later same-window sends raise
         :class:`~repro.simnet.partition.LookaheadViolation`, and a
-        mid-window mutation is a cross-shard data race under the thread
-        executor.  Applying at the edge means the next window is already
-        sized from the degraded latency.  Shard-local links mutate at
-        ``at`` exactly, as before."""
+        mid-window mutation would be seen at a different point of the
+        window by each endpoint's shard.  Applying at the edge means the
+        next window is already sized from the degraded latency.  Shard-local
+        links mutate at ``at`` exactly, as before."""
         self._schedule_link_fault(
             at, network, self._degrade, network, latency, bandwidth, loss_rate
         )

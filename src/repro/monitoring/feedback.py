@@ -54,12 +54,12 @@ class LinkWatch:
         )
         # A passive probe on a *boundary* link observes traffic from both
         # endpoints' shards (the observer fires in the transmitting shard),
-        # which under parallel executors would mutate estimator state
-        # mid-window from two threads/processes.  Boundary watches therefore
-        # route every sample over the barrier sample bus: shard-local
-        # buffers, drained at the window edge in a deterministic merge, so
-        # estimator updates happen in barrier context only — identical
-        # across the round-robin, thread and process executors.
+        # which under the process executor would mutate two replicas'
+        # estimators mid-window.  Boundary watches therefore route every
+        # sample over the barrier sample bus: shard-local buffers, drained
+        # at the window edge in a deterministic merge, so estimator updates
+        # happen in barrier context only — identical across the round-robin
+        # and process executors.
         sim = monitor.sim
         self._bus_key: Optional[str] = None
         on_sample = self._on_sample

@@ -50,15 +50,11 @@ executor.
 Executors
 ---------
 
-``executor="round-robin"`` (default) steps the shards sequentially inside
-one process — deterministic and dependency-free, the configuration the
-trace-equality suite pins down.  ``executor="thread"`` runs each shard's
-window on a worker-thread pool with a barrier per window; with mailbox
-merging order-stamped (not arrival-ordered) the execution stays
-deterministic *provided* partitions share no mutable Python state outside
-the boundary mailboxes (per-partition counters, per-partition rngs).  CPU
-parallelism is bounded by the GIL in CPython today; the thread executor
-exists for GIL-releasing model code and free-threaded builds.
+There are two.  ``executor="round-robin"`` (default) steps the shards
+sequentially inside one process — deterministic and dependency-free, the
+configuration the trace-equality suite pins down.  The executing shard is a
+plain attribute of the facade: every scheduling call made by model code
+routes to it.
 
 ``executor="process"`` (:mod:`repro.simnet.procexec`) is the multi-core
 configuration: one worker process per partition, each owning a full replica
@@ -85,16 +81,15 @@ Determinism contract for scenario authors:
   **barrier sample bus** (:meth:`PartitionedSimulator.publish_at_barrier`):
   shard-local buffers drained at the window barrier in a deterministic
   ``(sample time, source partition, publish order)`` merge, so boundary
-  watches are executor-independent — including under the thread executor
-  (no mid-window shared-estimator writes) and the process executor (every
-  replica consumes the identical merged stream).
+  watches are executor-independent: estimators are only written in barrier
+  context, and under the process executor every replica consumes the
+  identical merged stream.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simnet.engine import (
@@ -147,98 +142,6 @@ class _PartitionShard(Simulator):
         return None, until
 
 
-class _RoundRobinExecutor:
-    """Default executor: each shard runs its window in turn, in index order,
-    on the calling thread."""
-
-    name = "round-robin"
-
-    def run_window(
-        self, psim: "PartitionedSimulator", shards: List[_PartitionShard], window_end: float
-    ) -> None:
-        for shard in shards:
-            if psim._p_stopped:
-                break
-            psim._enter_shard(shard)
-            try:
-                shard.run(until=window_end)
-            finally:
-                psim._exit_shard()
-
-
-class _ThreadPoolExecutor:
-    """Opt-in executor: one worker thread per shard, barrier per window.
-
-    The pool lives for one :meth:`PartitionedSimulator.run` call
-    (:meth:`open`/:meth:`close` bracket it) so simulators never leak idle
-    worker threads past their run."""
-
-    name = "thread"
-
-    def __init__(self) -> None:
-        self._pool = None
-
-    def open(self, nshards: int) -> None:
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=nshards, thread_name_prefix="sim-shard"
-            )
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def run_window(
-        self, psim: "PartitionedSimulator", shards: List[_PartitionShard], window_end: float
-    ) -> None:
-        self.open(len(shards))
-        futures = [
-            self._pool.submit(self._run_shard, psim, shard, window_end) for shard in shards
-        ]
-        # the barrier: every shard finishes its window before mailboxes
-        # merge — including when one raises, or the merge (and the cleared
-        # lookahead check) would race the straggler threads.
-        first_error = None
-        for future in futures:
-            try:
-                future.result()
-            except BaseException as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-
-    @staticmethod
-    def _run_shard(
-        psim: "PartitionedSimulator", shard: _PartitionShard, window_end: float
-    ) -> None:
-        psim._enter_shard(shard)
-        try:
-            shard.run(until=window_end)
-        finally:
-            psim._exit_shard()
-
-
-def _make_executor(executor: Any) -> Any:
-    if executor is None or executor == "round-robin":
-        return _RoundRobinExecutor()
-    if executor in ("thread", "threads", "thread-pool"):
-        return _ThreadPoolExecutor()
-    if executor in ("process", "processes", "process-pool"):
-        from repro.simnet.procexec import ProcessPoolExecutor
-
-        return ProcessPoolExecutor()
-    if hasattr(executor, "run_window"):
-        return executor
-    raise SimulationError(
-        f"unknown executor {executor!r}; expected 'round-robin', 'thread', "
-        "'process' or an object with a run_window(sim, shards, window_end) method"
-    )
-
-
 class PartitionedSimulator(Simulator):
     """N per-partition event queues executed in conservative time windows.
 
@@ -272,15 +175,26 @@ class PartitionedSimulator(Simulator):
             )
         if lookahead is not None and lookahead <= 0.0:
             raise SimulationError(f"lookahead must be positive, got {lookahead!r}")
+        # None runs the shards round-robin in this process
+        self._executor: Optional[Any] = None
+        if executor == "process":
+            from repro.simnet.procexec import ProcessPoolExecutor
+
+            self._executor = ProcessPoolExecutor()
+        elif executor is not None and executor != "round-robin":
+            raise SimulationError(
+                f"unknown executor {executor!r}; expected 'round-robin' or 'process'"
+            )
         self._shards: List[_PartitionShard] = [_PartitionShard(i) for i in range(partitions)]
         self._mailboxes: List[List[Tuple]] = [[] for _ in range(partitions)]
-        self._mail_lock = threading.Lock()
-        self._tls = threading.local()
+        # shard routing: the shard executing a window (None outside one) and
+        # the in_partition override stack (see _active_shard)
+        self._shard: Optional[_PartitionShard] = None
+        self._override: List[_PartitionShard] = []
         self._time = 0.0
         self._window_end: Optional[float] = None
         self._configured_lookahead = lookahead
         self._boundaries: List[Any] = []
-        self._executor = _make_executor(executor)
         self._p_stopped = False
         self.windows_run = 0
         self.mailbox_deliveries = 0
@@ -306,7 +220,9 @@ class PartitionedSimulator(Simulator):
         self._worker_index: Optional[int] = None
         self._pending_hook_ships: List[Tuple] = []
         self._hook_ship_seq = itertools.count()
-        if getattr(self._executor, "needs_event_uids", False):
+        if self._executor is not None:
+            # run(until=event) under the process executor names watched
+            # events by construction-order uid
             import weakref
 
             self._event_uid_counter = itertools.count()
@@ -319,20 +235,13 @@ class PartitionedSimulator(Simulator):
             self._event_tracker = _track
 
     # -- shard routing ------------------------------------------------------
-    def _enter_shard(self, shard: _PartitionShard) -> None:
-        self._tls.shard = shard
-
-    def _exit_shard(self) -> None:
-        self._tls.shard = None
-
     def _active_shard(self) -> _PartitionShard:
         """The shard scheduling calls go to: an explicit ``in_partition``
-        override, else the shard executing on this thread, else partition 0
+        override, else the executing shard, else partition 0
         (deployment-construction default)."""
-        override = getattr(self._tls, "override", None)
-        if override:
-            return override[-1]
-        shard = getattr(self._tls, "shard", None)
+        if self._override:
+            return self._override[-1]
+        shard = self._shard
         if shard is not None:
             return shard
         return self._shards[0]
@@ -349,7 +258,7 @@ class PartitionedSimulator(Simulator):
         be booted at deployment time.
         """
         target = self._shards[self._check_partition(partition)]
-        executing = getattr(self._tls, "shard", None)
+        executing = self._shard
         if executing is not None and executing is not target:
             raise SimulationError(
                 f"cannot enter partition {partition} from model code executing "
@@ -377,7 +286,7 @@ class PartitionedSimulator(Simulator):
     def in_model_context(self) -> bool:
         """True while executing model code inside a shard window (as opposed
         to deployment construction or barrier-context code)."""
-        return getattr(self._tls, "shard", None) is not None
+        return self._shard is not None
 
     # -- boundaries / lookahead --------------------------------------------
     def add_boundary(self, network: Any) -> Any:
@@ -425,7 +334,7 @@ class PartitionedSimulator(Simulator):
         the callback to be wire-encodable (see
         :meth:`register_wire_handler`).
         """
-        if self._worker_index is not None and getattr(self._tls, "shard", None) is not None:
+        if self._worker_index is not None and self._shard is not None:
             # worker shard context: ship to the parent for barrier-riding
             # fan-out instead of mutating only this replica's heap
             self._pending_hook_ships.append((when, next(self._hook_ship_seq), fn, args))
@@ -499,7 +408,7 @@ class PartitionedSimulator(Simulator):
         name to its own copy of the callback.  Frame deliveries
         (``Nic.handle_arrival``) are encoded structurally and need no
         registration; this is for scenario-level closures scheduled across
-        partitions.  Harmless under the round-robin/thread executors.
+        partitions.  Harmless under the round-robin executor.
         """
         if not name or not isinstance(name, str):
             raise SimulationError(f"wire handler name must be a non-empty str, got {name!r}")
@@ -524,16 +433,15 @@ class PartitionedSimulator(Simulator):
         entry ``p`` is computed *inside worker* ``p`` (the replica whose
         shard actually executed), which is the only way to read scenario
         state back out of shard-owned object graphs.  Under the round-robin
-        and thread executors the shared graph is evaluated directly, so the
-        result is executor-independent for state the contract keeps
-        partition-local.
+        executor (and before the workers fork) the shared graph is evaluated
+        directly, so the result is executor-independent for state the
+        contract keeps partition-local.
         """
         fn = self._collectors.get(name)
         if fn is None:
             raise SimulationError(f"no collector registered under {name!r}")
-        gather = getattr(self._executor, "collect", None)
-        if gather is not None:
-            gathered = gather(self, name)
+        if self._executor is not None:
+            gathered = self._executor.collect(name)
             if gathered is not None:
                 return gathered
         return [fn(p) for p in range(len(self._shards))]
@@ -561,12 +469,11 @@ class PartitionedSimulator(Simulator):
     # -- clock --------------------------------------------------------------
     @property
     def now(self) -> float:
-        shard = getattr(self._tls, "shard", None)
+        shard = self._shard
         if shard is not None:
             return shard._now
-        override = getattr(self._tls, "override", None)
-        if override:
-            return override[-1]._now
+        if self._override:
+            return self._override[-1]._now
         return self._time
 
     # -- scheduling ----------------------------------------------------------
@@ -583,7 +490,7 @@ class PartitionedSimulator(Simulator):
         self, partition: int, when: float, fn: Callable, *args: Any
     ) -> Optional[TimerHandle]:
         dst = self._shards[self._check_partition(partition)]
-        src = getattr(self._tls, "shard", None)
+        src = self._shard
         if src is None or src is dst:
             # outside the run loop, or a partition-local delivery: straight
             # into the destination queue — same path as the single kernel.
@@ -596,8 +503,7 @@ class PartitionedSimulator(Simulator):
                 f"{src.index} to {dst.index} is faster than the lookahead"
             )
         entry = (when, src._now, src.index, next(src._mail_seq), fn, args)
-        with self._mail_lock:
-            self._mailboxes[dst.index].append(entry)
+        self._mailboxes[dst.index].append(entry)
         return None
 
     def _merge_mailboxes(self) -> None:
@@ -623,45 +529,32 @@ class PartitionedSimulator(Simulator):
         )
 
     def _next_when(self) -> Optional[float]:
-        best = None
-        # the process executor tracks worker-reported next-event times (the
-        # parent's replica shards are frozen construction-time state)
-        hint = getattr(self._executor, "next_event_time", None)
-        if hint is not None:
-            best = hint(self)
-        else:
-            for shard in self._shards:
-                t = shard.next_event_time()
-                if t is not None and (best is None or t < best):
-                    best = t
+        # under the process executor these are shadow shards: they hold only
+        # what barrier-context code scheduled since the last window report
+        times = [shard.next_event_time() for shard in self._shards]
+        if self._executor is not None:
+            # worker-reported next-event times and routed, unshipped mail
+            times.append(self._executor.next_event_time())
         if self._barrier_hooks:
-            t = self._barrier_hooks[0][0]
-            if best is None or t < best:
-                best = t
-        return best
+            times.append(self._barrier_hooks[0][0])
+        return min((t for t in times if t is not None), default=None)
 
     def run(self, until: Optional[Any] = None, max_time: Optional[float] = None) -> Any:
         target_event, target_time = self._run_target(until)
         self._p_stopped = False
 
-        prepare = getattr(self._executor, "on_run_start", None)
-        if prepare is not None:
-            prepare(self)
+        executor = self._executor
         watcher = None
-        if target_event is not None:
-            make_watcher = getattr(self._executor, "make_watcher", None)
-            if make_watcher is not None:
-                watcher = make_watcher(self, target_event)
+        if executor is not None:
+            executor.on_run_start(self)
+            if target_event is not None:
+                watcher = executor.make_watcher(self, target_event)
 
         try:
             self._run_windows(target_event, target_time, max_time, watcher)
         finally:
-            finish = getattr(self._executor, "on_run_end", None)
-            if finish is not None:
-                finish(self)
-            close = getattr(self._executor, "close", None)
-            if close is not None:
-                close()
+            if executor is not None:
+                executor.on_run_end(self)
 
         if watcher is not None:
             if watcher.done:
@@ -684,7 +577,7 @@ class PartitionedSimulator(Simulator):
         max_time: Optional[float],
         watcher: Optional[Any] = None,
     ) -> None:
-        take_bus = getattr(self._executor, "take_bus", None)
+        executor = self._executor
         while not self._p_stopped:
             if self._target_done(target_event, watcher):
                 break
@@ -719,7 +612,18 @@ class PartitionedSimulator(Simulator):
                 window_end = max_time
             self._window_end = window_end
             try:
-                self._executor.run_window(self, self._shards, window_end)
+                if executor is not None:
+                    executor.run_window(self, self._shards, window_end)
+                else:
+                    # round-robin: each shard runs its window in turn
+                    for shard in self._shards:
+                        if self._p_stopped:
+                            break
+                        self._shard = shard
+                        try:
+                            shard.run(until=window_end)
+                        finally:
+                            self._shard = None
             finally:
                 # merge even when model code raised out of a shard: mailbox
                 # entries are post-horizon and safe to deliver any time.
@@ -733,7 +637,7 @@ class PartitionedSimulator(Simulator):
             # samples) in the deterministic merged order — before telemetry
             # drains (consumer emissions commit with this barrier) and
             # before hooks (samples observed this window predate edge churn)
-            self._drain_barrier_bus(take_bus(self) if take_bus is not None else None)
+            self._drain_barrier_bus(executor.take_bus(self) if executor is not None else None)
             # window edge: drain per-shard telemetry buffers into the
             # deterministic merged stream (executor-independent order)
             hub = self.telemetry
@@ -750,56 +654,48 @@ class PartitionedSimulator(Simulator):
         """Stop the run: the executing shard halts immediately, remaining
         shards at the window barrier."""
         self._p_stopped = True
-        shard = getattr(self._tls, "shard", None)
+        shard = self._shard
         if shard is not None:
             shard.stop()
 
     def shutdown(self) -> None:
-        """Release executor resources (worker processes/threads).
+        """Release the process executor's worker processes.
 
-        Idempotent; a no-op for executors without persistent state.  The
-        process executor's worker pool survives across :meth:`run` calls so
-        multi-phase scenarios reuse it — call this (or let the simulator be
-        garbage-collected) when done."""
-        stop = getattr(self._executor, "shutdown", None)
-        if stop is None:
-            stop = getattr(self._executor, "close", None)
-        if stop is not None:
-            stop()
+        Idempotent; a no-op under round-robin.  The worker pool survives
+        across :meth:`run` calls so multi-phase scenarios reuse it — call
+        this (or let the simulator be garbage-collected) when done."""
+        if self._executor is not None:
+            self._executor.shutdown()
 
     def set_build_spec(self, fn: Callable, *args: Any) -> None:
         """Declare how worker processes rebuild the deployment.
 
         Delegates to the process executor (see
         :meth:`~repro.simnet.procexec.ProcessPoolExecutor.set_build_spec`);
-        a no-op on executors that share the parent's object graph."""
-        setter = getattr(self._executor, "set_build_spec", None)
-        if setter is not None:
-            setter(fn, *args)
+        a no-op under round-robin, which shares the parent's object graph."""
+        if self._executor is not None:
+            self._executor.set_build_spec(fn, *args)
 
     def begin_profile(self) -> None:
         """Arm per-shard profiling (process executor: a ``cProfile`` run
-        inside each worker, covering shard windows only).  A no-op on
-        executors without per-shard profiling support."""
-        start = getattr(self._executor, "begin_profile", None)
-        if start is not None:
-            start()
+        inside each worker, covering shard windows only).  A no-op under
+        round-robin."""
+        if self._executor is not None:
+            self._executor.begin_profile()
 
     def end_profile(self) -> Optional[List[Optional[dict]]]:
         """Stop per-shard profiling and return one raw ``cProfile`` stats
         dict per partition (``None`` entries for shards that never ran;
-        ``None`` overall when the executor does not profile)."""
-        stop = getattr(self._executor, "end_profile", None)
-        if stop is None:
+        ``None`` overall under round-robin or before the workers fork)."""
+        if self._executor is None:
             return None
-        return stop()
+        return self._executor.end_profile()
 
     # -- introspection -------------------------------------------------------
     def pending_count(self) -> int:
         live = None
-        worker_live = getattr(self._executor, "pending_live", None)
-        if worker_live is not None:
-            live = worker_live(self)
+        if self._executor is not None:
+            live = self._executor.pending_live()
         if live is None:
             live = sum(shard._live for shard in self._shards)
         return live + sum(len(box) for box in self._mailboxes) + len(self._barrier_hooks)
@@ -815,9 +711,9 @@ class PartitionedSimulator(Simulator):
         bound on the true concurrent peak (shards hit their maxima at
         different instants).  Use :meth:`partition_stats`
         for the undistorted per-shard view.  All counters are executor-
-        independent: every executor runs identical per-shard schedules, so
-        ``stats()`` compares equal across round-robin, thread and process
-        (the latter barrier-samples the counters out of its workers)."""
+        independent: both executors run identical per-shard schedules, so
+        ``stats()`` compares equal across round-robin and process (the
+        latter barrier-samples the counters out of its workers)."""
         shard_stats = self.partition_stats()
         return SimStats(
             events_processed=sum(s.events_processed for s in shard_stats),
@@ -830,24 +726,24 @@ class PartitionedSimulator(Simulator):
         """Per-shard counter snapshots, in partition order.  Under the
         process executor shard ``p``'s counters come from worker ``p``'s
         last window report (the parent replica never executes)."""
-        gather = getattr(self._executor, "partition_stats", None)
-        if gather is not None:
-            gathered = gather(self)
+        if self._executor is not None:
+            gathered = self._executor.partition_stats(self)
             if gathered is not None:
                 return gathered
         return [shard.stats() for shard in self._shards]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        executor = "round-robin" if self._executor is None else "process"
         return (
             f"<PartitionedSimulator partitions={len(self._shards)} "
-            f"executor={self._executor.name} t={self._time:g} "
+            f"executor={executor} t={self._time:g} "
             f"windows={self.windows_run}>"
         )
 
 
 class _PartitionContext:
-    """Context manager pushing a partition override onto the calling
-    thread's routing stack (see :meth:`PartitionedSimulator.in_partition`)."""
+    """Context manager pushing a partition override onto the facade's
+    routing stack (see :meth:`PartitionedSimulator.in_partition`)."""
 
     __slots__ = ("sim", "shard")
 
@@ -856,12 +752,8 @@ class _PartitionContext:
         self.shard = shard
 
     def __enter__(self) -> PartitionedSimulator:
-        tls = self.sim._tls
-        stack = getattr(tls, "override", None)
-        if stack is None:
-            stack = tls.override = []
-        stack.append(self.shard)
+        self.sim._override.append(self.shard)
         return self.sim
 
     def __exit__(self, *_exc: Any) -> None:
-        self.sim._tls.override.pop()
+        self.sim._override.pop()

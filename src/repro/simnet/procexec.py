@@ -1,9 +1,9 @@
 """Process-pool executor: one worker process per partition, multi-core.
 
-The executor implements the :meth:`run_window` contract of
-:class:`~repro.simnet.partition.PartitionedSimulator` with a pool of
-forked worker processes.  The design is *replicated construction, sharded
-execution*:
+:class:`~repro.simnet.partition.PartitionedSimulator` built with
+``executor="process"`` runs each window through
+:meth:`ProcessPoolExecutor.run_window` on a pool of forked worker
+processes.  The design is *replicated construction, sharded execution*:
 
 * Every worker holds a **full replica** of the deployment object graph —
   inherited via ``fork`` at the first ``run()`` (or rebuilt from a
@@ -325,9 +325,6 @@ class ProcessPoolExecutor:
     event triggers, telemetry buffers and kernel counters.
     """
 
-    name = "process"
-    #: PartitionedSimulator installs the event-uid tracker for us
-    needs_event_uids = True
     is_process = True
 
     def __init__(self) -> None:
@@ -399,7 +396,7 @@ class ProcessPoolExecutor:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise SimulationError(
                 "executor='process' requires the fork start method (POSIX); "
-                "use executor='thread' or 'round-robin' on this platform"
+                "use executor='round-robin' on this platform"
             )
         ctx = multiprocessing.get_context("fork")
         # burn one uid: every event the replicas inherit a copy of sits
@@ -432,10 +429,6 @@ class ProcessPoolExecutor:
         if self._profiling:
             for conn in conns:
                 conn.send(("ps",))
-
-    def close(self) -> None:
-        """End-of-run hook: a no-op — the pool persists across run() calls
-        (multi-phase scenarios reuse it); see :meth:`shutdown`."""
 
     def shutdown(self) -> None:
         procs, conns = self._procs, self._conns
@@ -548,30 +541,18 @@ class ProcessPoolExecutor:
         offsets = [len(buf) for buf in psim._bus_buffers]
         return [(p, i + offsets[p], key, payload) for p, i, key, payload in out]
 
-    def next_event_time(self, psim) -> Optional[float]:
-        best = None
-        if self._next_times is not None:
-            for t in self._next_times:
-                if t is not None and (best is None or t < best):
-                    best = t
-            for box in self._pending:
-                for entry in box:
-                    if best is None or entry[0] < best:
-                        best = entry[0]
-            # shadow shards: barrier-context code scheduled these since the
-            # last report; visible here for exactly one window (see run_window)
-            for shard in psim._shards:
-                t = shard.next_event_time()
-                if t is not None and (best is None or t < best):
-                    best = t
-        else:
-            for shard in psim._shards:
-                t = shard.next_event_time()
-                if t is not None and (best is None or t < best):
-                    best = t
-        return best
+    def next_event_time(self) -> Optional[float]:
+        """Earliest worker-reported next-event time or routed-but-unshipped
+        mailbox entry; None before the workers fork.  The facade adds the
+        parent's shadow shards, which hold what barrier-context code
+        scheduled since the last report (see run_window)."""
+        if self._next_times is None:
+            return None
+        times = [t for t in self._next_times if t is not None]
+        times.extend(entry[0] for box in self._pending for entry in box)
+        return min(times, default=None)
 
-    def pending_live(self, psim) -> Optional[int]:
+    def pending_live(self) -> Optional[int]:
         if self._live is None:
             return None
         return sum(self._live) + sum(len(box) for box in self._pending)
@@ -609,7 +590,7 @@ class ProcessPoolExecutor:
             )
         return merged
 
-    def collect(self, psim, name: str) -> Optional[List[Any]]:
+    def collect(self, name: str) -> Optional[List[Any]]:
         if self._conns is None:
             return None
         for conn in self._conns:
@@ -830,7 +811,7 @@ def _worker_window(sim, shard, codec, cmd, watched: set, state: dict) -> Tuple:
     bus_base = len(sim._bus_buffers[shard.index])
     sim._window_end = window_end
     prof = state["prof"]
-    sim._enter_shard(shard)
+    sim._shard = shard
     try:
         if prof is not None:
             prof.enable()
@@ -840,7 +821,7 @@ def _worker_window(sim, shard, codec, cmd, watched: set, state: dict) -> Tuple:
             if prof is not None:
                 prof.disable()
     finally:
-        sim._exit_shard()
+        sim._shard = None
         sim._window_end = None
     # 5. report: everything the parent needs to merge this window
     out_entries: List[Tuple] = []

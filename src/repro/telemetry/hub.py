@@ -26,11 +26,11 @@ Determinism
 
 On a single event loop, events append straight to :attr:`events` (and the
 JSONL file, if one is attached).  On a partitioned kernel each shard
-appends to its own buffer — shard-local, so the thread executor needs no
-locks — and the facade drains the buffers at every window barrier, sorted
-by ``(t, p, s)``: a deterministic function of per-shard streams that are
-themselves trace-exact, so the merged stream is identical across the
-round-robin and thread executors.
+appends to its own buffer and the facade drains the buffers at every window
+barrier, sorted by ``(t, p, s)``: a deterministic function of per-shard
+streams that are themselves trace-exact, so the merged stream is identical
+across the round-robin and process executors (worker replicas ship their
+shard buffers to the parent hub, see :meth:`TelemetryHub.absorb_worker_events`).
 
 JSONL lines are written with sorted keys and no whitespace; floats
 round-trip exactly through JSON, which is what makes replayed KPI output
@@ -89,21 +89,19 @@ class TelemetryHub:
         self.closed = False
         # process-executor worker replicas capture shard emissions locally
         # and ship them to the parent at each window barrier; None in the
-        # parent / under in-process executors (see begin_worker_capture)
+        # parent and under round-robin (see begin_worker_capture)
         self._worker_index: Optional[int] = None
 
     # -- collection -----------------------------------------------------------
     def emit(self, kind: str, t: Optional[float] = None, **fields: Any) -> None:
         """Record one event.  ``t`` defaults to the simulator clock."""
         sim = self.sim
-        if self._worker_index is not None:
-            tls = getattr(sim, "_tls", None)
-            if tls is None or getattr(tls, "shard", None) is None:
-                # barrier-context emission inside a worker replica (bus
-                # consumers, hooks): every replica produces an identical
-                # copy and the parent's is the authoritative one — drop
-                # ours so the merged stream holds exactly one.
-                return
+        if self._worker_index is not None and not sim.in_model_context:
+            # barrier-context emission inside a worker replica (bus
+            # consumers, hooks): every replica produces an identical copy
+            # and the parent's is the authoritative one — drop ours so the
+            # merged stream holds exactly one.
+            return
         p: int = sim.current_partition
         s = self._seq[p]
         self._seq[p] = s + 1
@@ -188,9 +186,13 @@ class TelemetryHub:
         Shard emissions buffer locally and are drained by
         :meth:`take_worker_events`; barrier-context emissions are dropped
         (the parent's copy is authoritative) and no JSONL stream is written
-        from the worker."""
+        from the worker.  Emissions still buffered at the fork (made while
+        the deployment was built) are dropped too: the parent drains its own
+        copy at the first barrier, so shipping them would duplicate them."""
         self._worker_index = index
         self._file = None
+        for buf in self._buffers:
+            del buf[:]
 
     def take_worker_events(self) -> List[Dict[str, Any]]:
         """Drain and return every buffered shard emission (worker side)."""

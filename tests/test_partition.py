@@ -39,8 +39,16 @@ def test_partitioned_rejects_bad_config():
         PartitionedSimulator(partitions=1)
     with pytest.raises(SimulationError):
         Simulator(partitions=2, lookahead=0.0)
-    with pytest.raises(SimulationError):
-        Simulator(partitions=2, executor="bogus")
+
+    # round-robin and process are the only executors: no aliases, no
+    # removed names, no plug-in objects
+    class Custom:
+        def run_window(self, sim, shards, window_end):
+            pass
+
+    for bad in "bogus thread process-pool".split() + [Custom()]:
+        with pytest.raises(SimulationError):
+            Simulator(partitions=2, executor=bad)
     # the process executor constructs (workers fork lazily at first run)
     sim = Simulator(partitions=2, executor="process")
     assert isinstance(sim, PartitionedSimulator)
@@ -321,7 +329,7 @@ def test_network_transmit_crosses_partitions():
 
 
 # ---------------------------------------------------------------------------
-# determinism: round-robin vs thread executor vs single loop
+# determinism: round-robin vs process executor vs single loop
 # ---------------------------------------------------------------------------
 
 
@@ -375,15 +383,6 @@ def test_partitioned_trace_matches_itself_and_single_loop(nparts):
     multi = _mesh_scenario(Simulator(partitions=nparts, lookahead=0.01), nparts)
     assert multi == single
     assert sum(len(t) for t in multi) > 50
-
-
-def test_thread_executor_matches_round_robin():
-    round_robin = _mesh_scenario(Simulator(partitions=3, lookahead=0.01), 3)
-    for _repeat in range(2):
-        threaded = _mesh_scenario(
-            Simulator(partitions=3, lookahead=0.01, executor="thread"), 3
-        )
-        assert threaded == round_robin
 
 
 def test_process_executor_matches_round_robin():
@@ -525,12 +524,6 @@ def test_partitioned_on_demand_gateway_boot_mid_run():
     got = fw.sim.run(until=done, max_time=30.0)
     assert got == total
     assert all(fw.node(g.name).booted for g in grid.gateways)
-
-
-def test_partitioned_framework_with_thread_executor_delivers():
-    got, _t, fw = _grid_transfer(2, executor="thread")
-    assert got == 192 * 1024
-    assert fw.sim.mailbox_deliveries > 0
 
 
 def test_partitioned_framework_with_process_executor_matches_single_loop():

@@ -216,11 +216,16 @@ def test_kpis_invariant_across_partitions(fidelity):
 
 
 def test_event_stream_identical_across_executors():
-    """The thread executor must reproduce the round-robin event stream
-    exactly — same events, same (t, p, s) stamps, same merged order."""
+    """The process executor must reproduce the round-robin event stream
+    exactly — same events, same (t, p, s) stamps, same merged order.  That
+    includes the frames emitted while the deployment is built: the forked
+    workers inherit them unflushed, and only the parent may record them."""
     _fw, rr = build_and_run(partitions=4)
-    _fw2, th = build_and_run(partitions=4, executor="thread")
-    assert rr.events == th.events
+    fw_p, proc = build_and_run(partitions=4, executor="process")
+    try:
+        assert rr.events == proc.events
+    finally:
+        fw_p.shutdown()
 
 
 def test_partitioned_stats_merge_matches_single_loop_shape():
@@ -229,9 +234,12 @@ def test_partitioned_stats_merge_matches_single_loop_shape():
     merge is executor-independent."""
     single, _ = build_and_run(telemetry=False)
     rr, _ = build_and_run(telemetry=False, partitions=4)
-    th, _ = build_and_run(telemetry=False, partitions=4, executor="thread")
-    s_rr, s_th = rr.sim.stats(), th.sim.stats()
-    assert s_rr.as_dict() == s_th.as_dict()  # merge independent of the executor
+    proc, _ = build_and_run(telemetry=False, partitions=4, executor="process")
+    try:
+        s_rr, s_proc = rr.sim.stats(), proc.sim.stats()
+    finally:
+        proc.shutdown()
+    assert s_rr.as_dict() == s_proc.as_dict()  # merge independent of the executor
     shards = rr.sim.partition_stats()
     assert len(shards) == 4
     for field in ("events_processed", "timers_scheduled", "cancellations"):

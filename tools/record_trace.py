@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--executor",
         default=None,
-        choices=["round-robin", "thread", "process"],
+        choices=["round-robin", "process"],
         help="partition executor (with --partitions); the process executor "
         "records the identical merged (t, p, s) event stream from forked "
         "worker shards",
