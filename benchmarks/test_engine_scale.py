@@ -146,8 +146,11 @@ def selected_executor():
 
 @contextmanager
 def _gc_paused():
-    """Collector paused during the measured window (uniform across kernels;
-    the allocation-heavy runs otherwise measure GC pauses, not the kernel)."""
+    """Collector paused during the measured window, as when these baselines
+    were recorded.  The kernel paces an enabled collector inside ``run()``
+    (``repro.simnet.engine._RUN_GC_THRESHOLD``) and leaves a disabled one
+    alone, so these gates measure the kernel without collection pauses and
+    stay comparable with their recorded baselines."""
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()

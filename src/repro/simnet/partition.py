@@ -98,6 +98,7 @@ from repro.simnet.engine import (
     SimulationError,
     Simulator,
     TimerHandle,
+    _run_gc,
 )
 
 __all__ = ["PartitionedSimulator", "LookaheadViolation", "DEFAULT_LOOKAHEAD"]
@@ -545,16 +546,17 @@ class PartitionedSimulator(Simulator):
 
         executor = self._executor
         watcher = None
-        if executor is not None:
-            executor.on_run_start(self)
-            if target_event is not None:
-                watcher = executor.make_watcher(self, target_event)
-
-        try:
-            self._run_windows(target_event, target_time, max_time, watcher)
-        finally:
+        # entered before the workers fork, so they inherit the paced collector
+        with _run_gc:
             if executor is not None:
-                executor.on_run_end(self)
+                executor.on_run_start(self)
+                if target_event is not None:
+                    watcher = executor.make_watcher(self, target_event)
+            try:
+                self._run_windows(target_event, target_time, max_time, watcher)
+            finally:
+                if executor is not None:
+                    executor.on_run_end(self)
 
         if watcher is not None:
             if watcher.done:

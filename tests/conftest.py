@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core import paper_cluster, paper_wan_pair, paper_lossy_pair
-from tests.helpers import run  # noqa: F401 - re-exported convenience
+from tests.helpers import DEFAULT_GC, run  # noqa: F401 - re-exported convenience
 
 
 @pytest.fixture
@@ -41,3 +43,18 @@ def lossy_pair():
     """Two nodes across the lossy trans-continental link."""
     fw, group = paper_lossy_pair()
     return fw, group
+
+
+@pytest.fixture
+def gc_defaults():
+    """Collector enabled at the default thresholds; the caller's collector
+    state is restored afterwards."""
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(*DEFAULT_GC)
+    yield
+    gc.set_threshold(*threshold)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()

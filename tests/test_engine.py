@@ -1,6 +1,12 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +20,9 @@ from repro.simnet.engine import (
     ReferenceSimulator,
     SimulationError,
     Simulator,
+    _RUN_GC_THRESHOLD,
 )
+from tests.helpers import DEFAULT_GC
 
 
 def test_clock_starts_at_zero():
@@ -712,3 +720,133 @@ def test_periodic_task_self_cancel_from_callback():
     assert holder["task"].runs == 1
     assert sim.now == pytest.approx(0.1)
     assert sim.pending_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# collector pacing around run()
+# ---------------------------------------------------------------------------
+
+_PACED_GC = (_RUN_GC_THRESHOLD, 10, 10)
+
+
+def _threshold_seen_by_callback(sim):
+    seen = []
+    sim.call_later(0.001, lambda: seen.append(gc.get_threshold()))
+    return seen
+
+
+@ALL_KERNELS
+def test_run_raises_young_threshold_and_restores_it(make_sim, gc_defaults):
+    sim = make_sim()
+    seen = _threshold_seen_by_callback(sim)
+    sim.run()
+    assert seen == [_PACED_GC]
+    assert gc.get_threshold() == DEFAULT_GC
+
+
+def _max_time_exceeded(sim):
+    sim.call_later(5.0, lambda: None)
+    sim.run(max_time=1.0)
+
+
+def _deadlock(sim):
+    sim.call_later(0.002, lambda: None)
+    sim.run(until=sim.event())
+
+
+def _callback_raises(sim):
+    def boom():
+        raise ValueError("boom")
+
+    sim.call_later(0.002, boom)
+    sim.run()
+
+
+@ALL_KERNELS
+@pytest.mark.parametrize(
+    "fail,exc",
+    [
+        (_max_time_exceeded, SimulationError),
+        (_deadlock, SimulationError),
+        (_callback_raises, ValueError),
+    ],
+    ids=["max_time", "deadlock", "callback"],
+)
+def test_run_restores_threshold_when_it_raises(make_sim, fail, exc, gc_defaults):
+    sim = make_sim()
+    seen = _threshold_seen_by_callback(sim)
+    with pytest.raises(exc):
+        fail(sim)
+    assert seen == [_PACED_GC]
+    assert gc.get_threshold() == DEFAULT_GC
+
+
+@ALL_KERNELS
+def test_nested_run_leaves_the_outer_policy_in_place(make_sim, gc_defaults):
+    """A run() inside a callback of another run() neither re-saves nor
+    restores: the threshold stays raised until the outermost run() ends."""
+    outer, inner = make_sim(), make_sim()
+    inner_seen = _threshold_seen_by_callback(inner)
+    after_inner = []
+
+    def run_inner():
+        inner.run()
+        after_inner.append(gc.get_threshold())
+
+    outer.call_later(0.001, run_inner)
+    outer.run()
+    assert inner_seen == [_PACED_GC]
+    assert after_inner == [_PACED_GC]
+    assert gc.get_threshold() == DEFAULT_GC
+
+
+@ALL_KERNELS
+def test_disabled_collector_is_left_alone(make_sim, gc_defaults):
+    gc.disable()
+    sim = make_sim()
+    seen = _threshold_seen_by_callback(sim)
+    sim.run()
+    assert seen == [DEFAULT_GC]
+    assert not gc.isenabled()
+    assert gc.get_threshold() == DEFAULT_GC
+
+
+@ALL_KERNELS
+def test_higher_user_threshold_is_kept(make_sim, gc_defaults):
+    user = (_RUN_GC_THRESHOLD * 5, 20, 30)
+    gc.set_threshold(*user)
+    sim = make_sim()
+    seen = _threshold_seen_by_callback(sim)
+    sim.run()
+    assert seen == [user]
+    assert gc.get_threshold() == user
+
+
+def _gc_pressure(*args):
+    """``tests/gc_pressure.py`` in a fresh interpreter (its collector counts
+    depend on the long-lived object count, which a warm test process skews)."""
+    script = Path(__file__).with_name("gc_pressure.py")
+    src = str(script.parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_no_full_collection_inside_run_with_objects_in_flight():
+    """Thousands of long-lived pending entries per run: with the kernel's
+    pacing no oldest-generation collection happens inside run().  The same
+    scenario at the interpreter's default thresholds does run full
+    collections, which is what makes the zero a measurement."""
+    paced = _gc_pressure()
+    unpaced = _gc_pressure("--unpaced")
+    assert paced["hops"] == unpaced["hops"] == 80_000
+    assert paced["collections"][2] == 0, paced
+    assert unpaced["collections"][2] >= 1, unpaced

@@ -8,13 +8,16 @@ watching, error propagation from workers, the drift guard, counter
 aggregation across executors, and per-shard profiling.
 """
 
+import gc
+
 import pytest
 
-from repro.simnet.engine import SimulationError, Simulator
+from repro.simnet.engine import _RUN_GC_THRESHOLD, SimulationError, Simulator
 from repro.simnet.host import Host
 from repro.simnet.networks import WanVthd
 from repro.simnet.partition import LookaheadViolation
 from repro.simnet.procexec import _WireCodec
+from tests.helpers import DEFAULT_GC
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +320,32 @@ def test_single_loop_profile_facade_is_inert():
     sim.call_later(0.001, lambda: None)
     sim.run()
     assert sim.end_profile() is None
+
+
+# ---------------------------------------------------------------------------
+# collector pacing in the workers
+# ---------------------------------------------------------------------------
+
+
+def test_workers_run_shard_windows_with_the_paced_collector(gc_defaults):
+    """The workers fork inside the parent's run(), so shard callbacks run
+    with the raised generation-0 threshold; the parent's is restored."""
+    sim = Simulator(partitions=2, executor="process")
+    seen = [None, None]
+
+    def record(part):
+        seen[part] = gc.get_threshold()
+
+    for part in (0, 1):
+        with sim.in_partition(part):
+            sim.call_later(0.001, record, part)
+    sim.register_collector("gc.threshold", lambda p: seen[p])
+    try:
+        sim.run()
+        in_workers = sim.collect("gc.threshold")
+        after = gc.get_threshold()
+    finally:
+        sim.shutdown()
+    assert in_workers == [(_RUN_GC_THRESHOLD, 10, 10)] * 2
+    assert seen == [None, None]  # the parent's shards are shadows
+    assert after == DEFAULT_GC

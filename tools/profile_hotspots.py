@@ -17,12 +17,24 @@ Usage::
 The tool lives outside pytest on purpose: profiling overhead would
 poison the recorded baselines, so the benchmark suite measures clean
 walls and this script owns the instrumented runs.
+
+Next to the hotspot table of a single-process run it prints how many
+collections the cyclic garbage collector ran per generation during the
+profiled run (the ``gc.get_stats()`` delta; ``gc_collections`` in the
+JSON artifact).
+cProfile bills a collection pause to whichever function happened to
+allocate, so a function with inflated self time and a high count of
+oldest-generation collections points at the collector, not at that
+function.  The engine-scale runners pause the collector for their timed
+window after one explicit full collection, so those counts cover the
+build and boot phases plus that one collection.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import io
 import json
 import pstats
@@ -79,6 +91,18 @@ def _rows(stats: pstats.Stats, top: int) -> list:
             }
         )
     return rows
+
+
+def _gc_collections() -> list:
+    """Collections run so far, per generation (youngest first)."""
+    return [gen["collections"] for gen in gc.get_stats()]
+
+
+def _print_gc(before: list) -> list:
+    delta = [now - then for now, then in zip(_gc_collections(), before)]
+    counts = " / ".join(str(n) for n in delta)
+    print(f"gc collections during the profiled run (gen0 / gen1 / gen2): {counts}\n")
+    return delta
 
 
 def _print_stats(stats: pstats.Stats, sort: str, top: int) -> None:
@@ -175,6 +199,7 @@ def main(argv=None) -> int:
         return _per_shard(args)
 
     profiler = cProfile.Profile()
+    gc_before = _gc_collections()
     start = time.perf_counter()
     profiler.enable()
     result = _run(args.size, args.workload, args.fidelity)
@@ -183,6 +208,7 @@ def main(argv=None) -> int:
 
     stats = pstats.Stats(profiler)
     _print_stats(stats, args.sort, args.top)
+    gc_collections = _print_gc(gc_before)
 
     if args.json:
         artifact = {
@@ -192,6 +218,7 @@ def main(argv=None) -> int:
             "profiled_wall_s": round(wall, 3),
             "sort": args.sort,
             "result": result,
+            "gc_collections": gc_collections,
             "hotspots": _rows(stats, args.top),
         }
         Path(args.json).write_text(json.dumps(artifact, indent=1) + "\n")
